@@ -12,7 +12,7 @@ Subcommands:
   and a reading-integrity quarantine report (``--quarantine-report``).
   Overload controls: a bounded ingestion queue (``--max-queue``),
   priority load shedding (``--shed-policy``), per-cycle deadlines
-  (``--cycle-deadline-ms``), and a self-healing supervised worker
+  (``--cycle-deadline-ms``), and a self-healing sharded worker
   fleet (``--shards``).  Exit status 4 marks a run that completed only
   by shedding load or overrunning its deadline (valid reports,
   degraded coverage — revisit capacity).  Event-time mode
@@ -41,7 +41,7 @@ gap).  A disk-full WAL write flips the monitor into degraded read-only
 mode: ingestion stops, committed verdicts stay servable, and the run
 exits 4.
 
-Network-fault robustness: ``monitor --elastic --network-faults`` arms
+Network-fault robustness: ``monitor --shards N --network-faults`` arms
 a deterministic transport fault schedule (drop, delay, dup, reorder,
 garble, partition, heal) against the coordinator-to-shard message
 seam, with the injection evidence written via
@@ -130,7 +130,7 @@ def _add_ops_options(parser: argparse.ArgumentParser) -> None:
         type=str,
         default=None,
         help="write the SLO burn-rate report (JSON) here (requires "
-        "--elastic)",
+        "--elastic or --shards > 1)",
     )
     parser.add_argument(
         "--profile-out",
@@ -407,8 +407,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
         BufferedIngestor,
         LoadControlConfig,
         ShedPolicy,
-        Supervisor,
-        make_shards,
     )
     from repro.metering.channel import LossyChannel
     from repro.quarantine import FirewallPolicy, ReadingFirewall
@@ -421,20 +419,34 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and not args.wal_dir:
+    # --shards > 1 and --elastic (a fleet of --shards, even of one) both
+    # run the sharded fleet; every fleet-only flag checks this one test.
+    fleet = args.elastic or args.shards > 1
+    if fleet and not args.wal_dir:
         print(
-            "--shards > 1 requires --wal-dir (per-shard WALs and "
-            "checkpoints live under it)",
+            "--elastic/--shards > 1 requires --wal-dir (the fleet manifest "
+            "and per-shard WALs/checkpoints live under it)",
             file=sys.stderr,
         )
         return 2
-    if args.shards > 1 and args.checkpoint:
+    if fleet and args.checkpoint:
         print(
-            "--shards > 1 manages per-shard checkpoints under --wal-dir; "
-            "drop --checkpoint",
+            "--elastic/--shards > 1 manages per-shard checkpoints under "
+            "--wal-dir; drop --checkpoint",
             file=sys.stderr,
         )
         return 2
+    for flag, given in (
+        ("--grow-at-week", args.grow_at_week is not None),
+        ("--network-faults", bool(args.network_faults)),
+        ("--health-out", bool(args.health_out)),
+        ("--slo-out", bool(args.slo_out)),
+    ):
+        if given and not fleet:
+            print(
+                f"{flag} requires --elastic or --shards > 1", file=sys.stderr
+            )
+            return 2
     if args.scrub and not (args.wal_dir and args.checkpoint):
         print(
             "--scrub requires --wal-dir and --checkpoint (it verifies "
@@ -445,27 +457,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
         return 2
     if args.checkpoint_generations < 1:
         print("--checkpoint-generations must be >= 1", file=sys.stderr)
-        return 2
-    if args.grow_at_week is not None and not args.elastic:
-        print("--grow-at-week requires --elastic", file=sys.stderr)
-        return 2
-    if args.elastic:
-        if not args.wal_dir:
-            print(
-                "--elastic requires --wal-dir (the fleet manifest and "
-                "per-shard WALs/checkpoints live under it)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.checkpoint:
-            print(
-                "--elastic manages per-shard checkpoints under --wal-dir; "
-                "drop --checkpoint",
-                file=sys.stderr,
-            )
-            return 2
-    if args.network_faults and not args.elastic:
-        print("--network-faults requires --elastic", file=sys.stderr)
         return 2
     if args.transport_ledger_out and not args.network_faults:
         print(
@@ -485,7 +476,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.lineage_out and not args.integrity:
         print("--lineage-out requires --integrity", file=sys.stderr)
         return 2
-    if args.lineage_out and (args.eventtime or args.elastic or args.shards > 1):
+    if args.lineage_out and (args.eventtime or fleet):
         print(
             "--lineage-out needs the single-service monitor "
             "(drop --eventtime/--elastic/--shards)",
@@ -510,17 +501,8 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.ramp_attack is not None and args.ramp_start_week < 0:
         print("--ramp-start-week must be >= 0", file=sys.stderr)
         return 2
-    if args.slo_out and not args.elastic:
-        print("--slo-out requires --elastic", file=sys.stderr)
-        return 2
-    if args.health_out and not (args.elastic or args.shards > 1):
-        print(
-            "--health-out requires --elastic or --shards > 1",
-            file=sys.stderr,
-        )
-        return 2
     if args.eventtime:
-        if args.shards > 1 or args.elastic:
+        if fleet:
             print(
                 "--eventtime does not support --shards > 1 or --elastic",
                 file=sys.stderr,
@@ -644,19 +626,8 @@ def _monitor_command(args: argparse.Namespace) -> int:
             events=events,
         )
 
-    if args.elastic:
-        return _run_monitor_elastic(
-            args,
-            ids=ids,
-            series=series,
-            weeks=weeks,
-            factory=factory,
-            fresh_service=fresh_service,
-            events=events,
-        )
-
-    if args.shards > 1:
-        return _run_monitor_sharded(
+    if fleet:
+        return _run_monitor_fleet(
             args,
             ids=ids,
             series=series,
@@ -1175,7 +1146,7 @@ def _run_monitor_eventtime(
     )
 
 
-def _run_monitor_sharded(
+def _run_monitor_fleet(
     args: argparse.Namespace,
     ids,
     series,
@@ -1185,217 +1156,22 @@ def _run_monitor_sharded(
     loadcontrol,
     events,
 ) -> int:
-    """``monitor --shards N``: the supervised worker-fleet path.
-
-    Each shard is a DurableTheftMonitor over its own WAL directory and
-    checkpoint under ``--wal-dir``; the supervisor recovers any shard
-    with existing durable state at start, so ``--recover`` is implicit.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.errors import ConfigurationError, StorageDegradedError
-    from repro.loadcontrol import BufferedIngestor, Supervisor, make_shards
-    from repro.metering.channel import LossyChannel
-    from repro.observability.metrics import MetricsRegistry
-    from repro.resilience import FaultInjector, FaultyChannel
-    from repro.timeseries.seasonal import SLOTS_PER_WEEK
-
-    fleet_metrics = MetricsRegistry()
-    try:
-        shards = make_shards(ids, args.shards, args.wal_dir)
-        supervisor = Supervisor(
-            shards,
-            service_factory=lambda spec: fresh_service(spec.consumers),
-            detector_factory=factory,
-            metrics=fleet_metrics,
-            events=events,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    profiler = None
-    if args.profile_out:
-        from repro.observability.ops import StageProfiler
-
-        profiler = StageProfiler()
-        for svc in supervisor.services().values():
-            if svc.profiler is None:
-                svc.profiler = profiler
-    ingest = supervisor.ingest_cycle
-    ingestor = None
-    if loadcontrol is not None:
-        ingestor = BufferedIngestor(
-            ingest, config=loadcontrol, metrics=fleet_metrics, events=events
-        )
-    channel = FaultyChannel(
-        channel=LossyChannel(
-            drop_rate=args.drop_rate, outage_rate=args.outage_rate
-        ),
-        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
-    )
-    start_slot = supervisor.cycle
-    if start_slot:
-        print(
-            f"fleet resumed at cycle {start_slot} "
-            f"({args.shards} shard(s) recovered from {args.wal_dir})",
-            file=sys.stderr,
-        )
-    ingested = 0
-    storage_degraded = False
-    for t in range(start_slot, weeks * SLOTS_PER_WEEK):
-        cycle_rng = np.random.default_rng((args.seed + 1, t))
-        readings = {cid: float(series[cid][t]) for cid in ids}
-        delivered = channel.transmit(readings, cycle_rng)
-        try:
-            if ingestor is not None:
-                if not ingestor.submit(delivered):
-                    ingestor.drain(max_cycles=1)
-                    ingestor.submit(delivered)
-                drained = ingestor.drain()
-                result = drained[-1] if drained else None
-            else:
-                result = ingest(delivered)
-        except StorageDegradedError as exc:
-            print(f"storage degraded at cycle {t}: {exc}", file=sys.stderr)
-            storage_degraded = True
-            break
-        ingested += 1
-        if (
-            args.crash_after_cycle is not None
-            and ingested >= args.crash_after_cycle
-        ):
-            print(
-                f"simulated crash after {ingested} cycle(s) (cycle {t})",
-                file=sys.stderr,
-            )
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(3)
-        shard_reports = (
-            [r for r in result.values() if r is not None]
-            if isinstance(result, dict)
-            else []
-        )
-        if not shard_reports:
-            continue
-        week_index = shard_reports[0].week_index
-        alerts = [a for r in shard_reports for a in r.alerts]
-        coverage = [
-            value for r in shard_reports for value in r.coverage.values()
-        ]
-        mean_coverage = (
-            sum(coverage) / len(coverage) if coverage else float("nan")
-        )
-        quarantined = sum(len(r.quarantined) for r in shard_reports)
-        suppressed = sum(len(r.suppressed) for r in shard_reports)
-        shed = sum(len(r.shed) for r in shard_reports)
-        week_line = (
-            f"week {week_index:>3}: "
-            f"{len(alerts)} alert(s), "
-            f"coverage {mean_coverage:.1%}, "
-            f"{quarantined} quarantined, "
-            f"{suppressed} suppressed"
-        )
-        if loadcontrol is not None:
-            week_line += f", {shed} shed"
-        week_line += f" [{len(shard_reports)}/{args.shards} shards]"
-        print(week_line)
-        for r in shard_reports:
-            for alert in r.alerts:
-                print(
-                    f"    {alert.consumer_id}: {alert.nature.value} "
-                    f"(severity {alert.severity:.2f}, "
-                    f"coverage {alert.coverage:.1%})"
-                )
-    services = supervisor.services()
-    attackers = [
-        cid for svc in services.values() for cid in svc.suspected_attackers()
-    ]
-    victims = [
-        cid for svc in services.values() for cid in svc.suspected_victims()
-    ]
-    total_alerts = sum(
-        len(report.alerts)
-        for svc in services.values()
-        for report in svc.reports
-    )
-    shed_total = sum(
-        len(report.shed)
-        for svc in services.values()
-        for report in svc.reports
-    )
-    weeks_completed = min(
-        (svc.weeks_completed for svc in services.values()), default=0
-    )
-    print(
-        f"monitored {len(ids)} consumers for {weeks_completed} weeks "
-        f"across {args.shards} shards"
-    )
-    print(f"total alerts: {total_alerts}")
-    print(f"suspected attackers: {sorted(attackers) or 'none'}")
-    print(f"suspected victims:   {sorted(victims) or 'none'}")
-    quarantined_readings = sum(
-        len(svc.firewall.store)
-        for svc in services.values()
-        if svc.firewall is not None
-    )
-    print(f"quarantined readings: {quarantined_readings}")
-    print(f"supervisor restarts: {supervisor.restarts_total}")
-    if args.health_out:
-        from repro.storage import atomic_write_json
-
-        _safe_export(
-            "health report",
-            args.health_out,
-            lambda: atomic_write_json(
-                args.health_out,
-                supervisor.health_snapshot(),
-                site="export.health",
-                sort_keys=True,
-            ),
-        )
-    if profiler is not None:
-        _safe_export(
-            "stage profile",
-            args.profile_out,
-            lambda: profiler.write(args.profile_out),
-        )
-    supervisor.close()
-    for svc in services.values():
-        fleet_metrics.merge_snapshot(svc.metrics.snapshot())
-    _write_observability_outputs(args, fleet_metrics, None)
-    if events is not None:
-        events.close()
-    return _monitor_exit_status(
-        shed_total=shed_total,
-        overruns=ingestor.deadlines_overrun if ingestor is not None else 0,
-        storage_degraded=storage_degraded,
-    )
-
-
-def _run_monitor_elastic(
-    args: argparse.Namespace,
-    ids,
-    series,
-    weeks: int,
-    factory,
-    fresh_service,
-    events,
-) -> int:
-    """``monitor --elastic``: the consistent-hash fleet path.
+    """``monitor --shards N`` / ``--elastic``: the sharded fleet path.
 
     Shards are placed on a hash ring and each keeps its own WAL and
-    checkpoint under ``--wal-dir``; the fleet manifest there makes
-    recovery implicit, and ``--grow-at-week N`` performs a live
-    snapshot+WAL shard handoff at the start of week ``N``.
+    checkpoint under ``--wal-dir``.  The fleet recovers any shard with
+    durable state at start (with or without the ``fleet.json`` manifest),
+    so ``--recover`` is implicit; ``--grow-at-week N`` performs a live
+    snapshot+WAL shard handoff at the start of week ``N``.  With load
+    control configured, cycles reach the fleet through a
+    :class:`~repro.loadcontrol.BufferedIngestor`.
     """
     import os
 
     import numpy as np
 
     from repro.errors import ConfigurationError
+    from repro.loadcontrol import BufferedIngestor
     from repro.metering.channel import LossyChannel
     from repro.observability.metrics import MetricsRegistry
     from repro.resilience import FaultInjector, FaultyChannel
@@ -1463,6 +1239,16 @@ def _run_monitor_elastic(
 
         profiler = StageProfiler()
         _attach_profiler()
+    ingestor = None
+    if loadcontrol is not None:
+        # The signal attaches itself to the fleet, which hands it to
+        # every shard service it builds or rebuilds.
+        ingestor = BufferedIngestor(
+            fleet.ingest_cycle,
+            config=loadcontrol,
+            metrics=fleet_metrics,
+            events=events,
+        )
     channel = FaultyChannel(
         channel=LossyChannel(
             drop_rate=args.drop_rate, outage_rate=args.outage_rate
@@ -1503,7 +1289,14 @@ def _run_monitor_elastic(
             cycle_rng = np.random.default_rng((args.seed + 1, t))
             readings = {cid: float(series[cid][t]) for cid in ids}
             delivered = channel.transmit(readings, cycle_rng)
-            result = fleet.ingest_cycle(delivered)
+            if ingestor is not None:
+                if not ingestor.submit(delivered):
+                    ingestor.drain(max_cycles=1)
+                    ingestor.submit(delivered)
+                drained = ingestor.drain()
+                result = drained[-1] if drained else {}
+            else:
+                result = fleet.ingest_cycle(delivered)
             if slo is not None and any(
                 r is not None for r in result.values()
             ):
@@ -1538,12 +1331,18 @@ def _run_monitor_elastic(
             )
             quarantined = sum(len(r.quarantined) for r in shard_reports)
             suppressed = sum(len(r.suppressed) for r in shard_reports)
-            print(
+            week_line = (
                 f"week {week_index:>3}: "
                 f"{len(alerts)} alert(s), "
                 f"coverage {mean_coverage:.1%}, "
                 f"{quarantined} quarantined, "
-                f"{suppressed} suppressed "
+                f"{suppressed} suppressed"
+            )
+            if loadcontrol is not None:
+                shed = sum(len(r.shed) for r in shard_reports)
+                week_line += f", {shed} shed"
+            print(
+                f"{week_line} "
                 f"[{len(shard_reports)}/{len(fleet.shards)} shards]"
             )
             for r in shard_reports:
@@ -1688,7 +1487,7 @@ def _run_monitor_elastic(
         events.close()
     return _monitor_exit_status(
         shed_total=shed_total,
-        overruns=0,
+        overruns=ingestor.deadlines_overrun if ingestor is not None else 0,
         storage_degraded=storage_degraded,
     )
 
@@ -1932,12 +1731,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="SPEC",
-        help="inject deterministic transport faults into the elastic "
+        help="inject deterministic transport faults into the shard "
         "fleet's message seam: comma-separated SHARD:OP@N=KIND entries "
         "(e.g. 'shard-0000:ingest@40=partition'); shards glob "
         "(shard-*), ops are ingest/heartbeat/checkpoint/extract/adopt/"
         "lease.acquire/*, kinds are drop/delay/dup/reorder/garble/"
-        "partition/heal; requires --elastic; repeatable",
+        "partition/heal; requires --elastic or --shards > 1; "
+        "repeatable",
     )
     mon.add_argument(
         "--transport-ledger-out",
@@ -1951,7 +1751,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="shard ownership lease TTL in ingest cycles for the "
-        "elastic fleet (default 8); writes renew the lease, so only a "
+        "shard fleet (default 8); writes renew the lease, so only a "
         "silent coordinator can lose one",
     )
     mon.add_argument(
@@ -2010,23 +1810,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="run N supervised monitor shards (requires --wal-dir; "
-        "each shard keeps its own WAL and checkpoint and is restarted "
-        "from them if it dies)",
+        help="run N monitor shards as a self-healing fleet placed on a "
+        "consistent-hash ring (requires --wal-dir; each shard keeps its "
+        "own WAL and checkpoint there and is restarted from them if it "
+        "dies, and the fleet manifest there makes crash recovery "
+        "implicit)",
     )
     mon.add_argument(
         "--elastic",
         action="store_true",
-        help="place the shards on a consistent-hash ring and run them "
-        "as an elastic fleet (requires --wal-dir; the fleet manifest "
-        "there makes crash recovery implicit and shards can be added "
-        "live via snapshot+WAL handoff)",
+        help="run the shard fleet even at --shards 1 (requires "
+        "--wal-dir)",
     )
     mon.add_argument(
         "--grow-at-week",
         type=int,
         default=None,
-        help="with --elastic: add one shard live at the start of week N "
+        help="with --elastic or --shards > 1: add one shard live at the "
+        "start of week N "
         "(a quiesce -> snapshot -> commit -> install -> finalize handoff)",
     )
     mon.add_argument(

@@ -70,15 +70,16 @@ class QueueDrainedError(LoadControlError):
 
 
 class SupervisorError(LoadControlError):
-    """The monitor-worker supervisor could not keep the fleet healthy."""
+    """The sharded monitor fleet could not keep its workers healthy."""
 
 
 class WorkerCrashed(SupervisorError):
-    """A supervised monitor worker died mid-cycle.
+    """A fleet shard worker died mid-cycle.
 
     Raised by workers (or injected by test harnesses) to signal that the
-    worker's in-memory state is gone; the supervisor responds by
-    restarting the shard from its checkpoint and write-ahead log.
+    worker's in-memory state is gone; the fleet responds by restarting
+    the shard from its checkpoint and write-ahead log and retrying the
+    cycle.
     """
 
 

@@ -1,8 +1,8 @@
 """Configuration for overload-resilient ingestion.
 
 One frozen dataclass gathers every load-control knob so the CLI, the
-monitoring service, the head-end, and the supervisor all read the same
-contract: how deep the ingestion queue may grow, when backpressure
+monitoring service, the head-end, and the sharded fleet all read the
+same contract: how deep the ingestion queue may grow, when backpressure
 engages and releases, how the admission controller paces the head-end,
 which shedding policy applies under sustained pressure, and how much
 wall-clock each polling cycle may spend.

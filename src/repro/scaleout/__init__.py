@@ -1,7 +1,7 @@
 """Elastic scale-out: consistent-hash placement, shard handoff, fleet.
 
-The :mod:`repro.scaleout` package grows the single-host worker fleet
-(:mod:`repro.loadcontrol.supervisor`) into an *elastic* one:
+The :mod:`repro.scaleout` package is the sharded monitor runtime: one
+self-healing fleet of durable shard workers that can also grow live:
 
 * :mod:`~repro.scaleout.ring` — consistent-hash placement of consumers
   onto shards (minimal movement when the shard set changes);

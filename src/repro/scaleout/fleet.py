@@ -1,7 +1,7 @@
 """Elastic shard fleet: consistent-hash placement, live handoff, healing.
 
-:class:`ElasticFleet` is the scale-out successor to the fixed
-:class:`~repro.loadcontrol.supervisor.Supervisor`:
+:class:`ElasticFleet` is the one sharded runtime: ``monitor --shards N``
+runs it on a fixed ring, and ``--grow-at-week`` grows that ring live.
 
 * **placement** comes from a consistent-hash ring
   (:class:`~repro.scaleout.ring.HashRing`), so adding or removing a
@@ -38,7 +38,16 @@
   it is marked *unreachable*, its cycles buffer in the pending queue,
   and reconnection probes heal it with bounded replay — duplicates are
   absorbed by request id, so the merged verdicts after a heal are
-  bit-identical to an undisturbed run.
+  bit-identical to an undisturbed run;
+* **self-healing**: a worker that raises
+  :class:`~repro.errors.WorkerCrashed` mid-cycle, is hard-killed, or
+  hangs past ``hang_tolerance_cycles`` is rebuilt from checkpoint + WAL
+  and the refused cycle is retried, counted in
+  ``fdeta_fleet_restarts_total{reason=...}``;
+* **backpressure**: the fleet-wide
+  :class:`~repro.loadcontrol.queue.BackpressureSignal` a
+  :class:`~repro.loadcontrol.queue.BufferedIngestor` attaches to the
+  fleet reaches every shard service, including rebuilt ones.
 """
 
 from __future__ import annotations
@@ -83,6 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.eventtime.revision import RevisionLog
     from repro.grid.snapshot import DemandSnapshot
     from repro.loadcontrol.deadline import Deadline
+    from repro.loadcontrol.queue import BackpressureSignal
     from repro.observability.events import EventLogger
     from repro.observability.metrics import MetricsRegistry
 
@@ -249,6 +259,7 @@ class ElasticFleet:
         self._ckpt_seq = 0
         self._fence: dict[str, int] = {}
         self._workers: dict[str, ShardWorker] = {}
+        self._backpressure: "BackpressureSignal | None" = None
         self._retired: dict[str, "TheftMonitoringService"] = {}
         self._retired_checkpoints: dict[str, str] = {}
         #: Per-shard ingestion watermarks (shard name -> last drained
@@ -426,9 +437,23 @@ class ElasticFleet:
             service = self._fresh_service(worker.consumers)
         return self._wrap(service, worker)
 
+    @property
+    def backpressure(self) -> "BackpressureSignal | None":
+        """Fleet-wide pressure signal, attached to every shard service
+        (and reattached to each service the fleet builds or rebuilds)."""
+        return self._backpressure
+
+    @backpressure.setter
+    def backpressure(self, signal: "BackpressureSignal | None") -> None:
+        self._backpressure = signal
+        for worker in self._workers.values():
+            if worker.monitor is not None:
+                worker.monitor.service.backpressure = signal
+
     def _wrap(
         self, service: "TheftMonitoringService", worker: ShardWorker
     ) -> FencedMonitor:
+        service.backpressure = self._backpressure
         if self.tracer is not None and service.tracer is None:
             # Per-shard tracers get the shard's name as their id
             # namespace, so stitched traces never collide across shards.
@@ -692,8 +717,7 @@ class ElasticFleet:
     ) -> dict[str, "MonitoringReport | None"]:
         """Queue one polling cycle to every shard and drain the queues.
 
-        Unlike the lockstep supervisor, each shard owns a pending queue
-        and drains independently: a hung shard simply accumulates
+        Each shard owns a pending queue and drains independently: a hung shard simply accumulates
         pending cycles (bounded by ``hang_tolerance_cycles``, after
         which it is healed and catches up), while every healthy shard
         ingests at the frontier.  Returns the per-shard weekly report

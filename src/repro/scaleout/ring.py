@@ -1,6 +1,6 @@
 """Consistent-hash placement of consumers onto shards.
 
-The fixed round-robin split (``shard_roster``) has a fatal scaling flaw:
+A fixed round-robin split of the roster has a fatal scaling flaw:
 adding one shard reshuffles nearly every consumer to a different shard,
 away from the WAL directory that holds its reading history.  Consistent
 hashing with virtual nodes fixes that — each shard owns many points on a
@@ -37,8 +37,9 @@ __all__ = [
 #: (relative imbalance shrinks ~ 1/sqrt(vnodes)) at O(vnodes) memory.
 DEFAULT_VNODES = 64
 
-#: Fixed placement seed.  The deprecated ``shard_roster`` shim pins this
-#: value so historical fixtures keep routing identically forever.
+#: Fixed placement seed.  Every fleet built without an explicit seed
+#: uses it, so historical fixtures and ``--wal-dir`` directories keep
+#: routing each consumer to the shard that holds its history forever.
 DEFAULT_RING_SEED = 2016
 
 

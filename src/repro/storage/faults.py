@@ -34,7 +34,7 @@ import errno
 import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, ClassVar
 
 from repro.errors import ConfigurationError
 from repro.storage.io import StorageIO
@@ -69,21 +69,6 @@ class FaultEvent:
     seen: int = 0
     fired: bool = False
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{FAULT_KINDS}"
-            )
-        if self.op not in _OPS:
-            raise ConfigurationError(
-                f"unknown fault op {self.op!r}; expected one of {_OPS}"
-            )
-        if self.at < 1:
-            raise ConfigurationError(
-                f"fault occurrence must be >= 1, got {self.at}"
-            )
-
     def matches(self, site: str, op: str) -> bool:
         return (self.op in ("*", op)) and fnmatchcase(site, self.site)
 
@@ -93,10 +78,46 @@ class FaultEvent:
 
 @dataclass
 class FaultSchedule:
-    """An ordered set of :class:`FaultEvent` plus the injection ledger."""
+    """An ordered set of :class:`FaultEvent` plus the injection ledger.
+
+    One grammar for every fault domain: a subclass fixes the domain by
+    overriding the class attributes — which fault kinds exist, which
+    operations a spec may name (``None`` accepts any non-empty op), what
+    the site field is called and how errors name the domain.  The
+    transport layer's
+    :class:`~repro.transport.faults.NetworkFaultSchedule` is one.
+    """
+
+    KINDS: ClassVar[tuple[str, ...]] = FAULT_KINDS
+    OPS: ClassVar[tuple[str, ...] | None] = _OPS
+    SITE: ClassVar[str] = "site"
+    LABEL: ClassVar[str] = "fault"
 
     events: list[FaultEvent] = field(default_factory=list)
     ledger: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for event in self.events:
+            self._validate(event)
+
+    @classmethod
+    def _validate(cls, event: FaultEvent) -> None:
+        if event.kind not in cls.KINDS:
+            raise ConfigurationError(
+                f"unknown {cls.LABEL} kind {event.kind!r}; expected one "
+                f"of {cls.KINDS}"
+            )
+        if cls.OPS is None:
+            if not event.op:
+                raise ConfigurationError("fault op must be non-empty")
+        elif event.op not in cls.OPS:
+            raise ConfigurationError(
+                f"unknown fault op {event.op!r}; expected one of {cls.OPS}"
+            )
+        if event.at < 1:
+            raise ConfigurationError(
+                f"fault occurrence must be >= 1, got {event.at}"
+            )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultSchedule":
@@ -113,7 +134,8 @@ class FaultSchedule:
                 at = int(at_text)
             except ValueError as exc:
                 raise ConfigurationError(
-                    f"bad fault spec {token!r}; expected site:op@N=kind"
+                    f"bad {cls.LABEL} spec {token!r}; expected "
+                    f"{cls.SITE}:op@N=kind"
                 ) from exc
             events.append(
                 FaultEvent(site=site.strip(), op=op.strip(), at=at,
@@ -121,7 +143,7 @@ class FaultSchedule:
             )
         if not events:
             raise ConfigurationError(
-                f"fault spec {spec!r} contains no events"
+                f"{cls.LABEL} spec {spec!r} contains no events"
             )
         return cls(events=events)
 

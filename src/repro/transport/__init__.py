@@ -29,7 +29,6 @@ from repro.transport.envelope import Envelope, Reply, payload_fingerprint
 from repro.transport.faults import (
     NETWORK_FAULT_KINDS,
     FaultyTransport,
-    NetworkFaultEvent,
     NetworkFaultSchedule,
 )
 from repro.transport.lease import ShardLease
@@ -40,7 +39,6 @@ __all__ = [
     "InProcTransport",
     "LEASE_ACQUIRE",
     "NETWORK_FAULT_KINDS",
-    "NetworkFaultEvent",
     "NetworkFaultSchedule",
     "Reply",
     "ShardClient",

@@ -118,7 +118,8 @@ class ShardEndpoint:
     def _check_write(self, envelope: Envelope) -> None:
         lease = self.lease
         if lease is None:
-            # Lease-less operation (fixed supervisor fleets): the
+            # Lease-less operation (an endpoint driven without a
+            # coordinator lease, e.g. a bare transport in tests): the
             # in-process FencedMonitor epoch check still applies.
             return
         if envelope.holder == lease.holder:

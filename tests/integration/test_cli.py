@@ -257,8 +257,11 @@ class TestCommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[2/2 shards]" in out
-        assert "monitored 4 consumers for 8 weeks across 2 shards" in out
-        assert "supervisor restarts: 0" in out
+        assert (
+            "monitored 4 consumers for 8 weeks across 2 elastic shard(s)"
+            in out
+        )
+        assert "fleet restarts: 0" in out
         # The merged metrics file is valid Prometheus exposition.
         from repro.observability.metrics import parse_prometheus
 
@@ -421,6 +424,57 @@ class TestMonitorElastic:
         series = parse_prometheus((tmp_path / "fleet.prom").read_text())
         assert "fdeta_fleet_handoffs_total" in series
         assert "fdeta_wal_appends_total" in series
+
+    def test_elastic_load_control_exits_degraded(self, tmp_path, capsys):
+        """--elastic honours load control exactly like --shards N."""
+        code = main(
+            [
+                "monitor",
+                "--consumers",
+                "4",
+                "--weeks",
+                "4",
+                "--seed",
+                "11",
+                "--min-training-weeks",
+                "2",
+                "--elastic",
+                "--shards",
+                "2",
+                "--wal-dir",
+                str(tmp_path / "fleet"),
+                "--shed-policy",
+                "priority",
+                "--cycle-deadline-ms",
+                "0.0001",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "completed in degraded mode" in captured.err
+        # Every cycle overran its budget: the count is real, not zero.
+        assert f"{4 * 336} deadline overrun(s)" in captured.err
+        assert "shed [2/2 shards]" in captured.out
+
+    def test_sharded_health_export_renders_in_status(self, tmp_path, capsys):
+        import re
+
+        health = tmp_path / "health.json"
+        argv = self._base + [
+            "--shards",
+            "2",
+            "--wal-dir",
+            str(tmp_path / "fleet"),
+            "--health-out",
+            str(health),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["status", "--health", str(health)]) == 0
+        out = capsys.readouterr().out
+        assert "shard-0000" in out and "shard-0001" in out
+        assert re.search(r"frontier: \d+", out)
+        assert "?" not in out
 
     def test_elastic_reopen_resumes_from_manifest(self, tmp_path, capsys):
         argv = self._base + [
