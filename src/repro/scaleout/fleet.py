@@ -244,6 +244,12 @@ class ElasticFleet:
         self.handoffs_total = 0
         self._closed = False
         self._cycle = 0
+        #: The budget of the cycle being dispatched.  The bound ingest
+        #: handler reads it here instead of from the envelope, whose
+        #: fingerprint would pickle the deadline's metrics and events;
+        #: a frame the transport held back runs under the budget of
+        #: whichever call flushes it (none outside ``ingest_cycle``).
+        self._deadline: "Deadline | None" = None
         #: The control-plane wire.  Endpoints are get-or-registered per
         #: shard so a lease granted to a previous incarnation survives
         #: into this one (and fences it out, if it is still writing).
@@ -520,7 +526,7 @@ class ElasticFleet:
                     p["reported"],
                     p["snapshot"],
                     cycle_index=p["cycle"],
-                    deadline=p["deadline"],
+                    deadline=self._deadline,
                 ),
                 "checkpoint": lambda p: fenced.checkpoint_now(),
                 "heartbeat": lambda p: fenced.service.cycles_ingested,
@@ -541,7 +547,6 @@ class ElasticFleet:
         cycle: int,
         reported: Mapping,
         snapshot: "DemandSnapshot | None",
-        deadline: "Deadline | None",
     ):
         """Dispatch one cycle to one shard over the transport.
 
@@ -555,7 +560,6 @@ class ElasticFleet:
                 "reported": reported,
                 "snapshot": snapshot,
                 "cycle": cycle,
-                "deadline": deadline,
             },
             seq=cycle,
             lease_epoch=self._fence[worker.name],
@@ -727,19 +731,21 @@ class ElasticFleet:
             raise SupervisorError("fleet is closed")
         cycle = self._cycle
         reports: dict[str, "MonitoringReport | None"] = {}
-        for name in sorted(self._workers):
-            worker = self._workers[name]
-            worker.pending.append(
-                (cycle, self._subset(worker, reported), snapshot)
-            )
-            reports[name] = self._drain(worker, deadline)
+        self._deadline = deadline
+        try:
+            for name in sorted(self._workers):
+                worker = self._workers[name]
+                worker.pending.append(
+                    (cycle, self._subset(worker, reported), snapshot)
+                )
+                reports[name] = self._drain(worker)
+        finally:
+            self._deadline = None
         self._cycle += 1
         self._update_gauges()
         return reports
 
-    def _drain(
-        self, worker: ShardWorker, deadline: "Deadline | None" = None
-    ) -> "MonitoringReport | None":
+    def _drain(self, worker: ShardWorker) -> "MonitoringReport | None":
         if worker.unreachable and not self._probe(worker):
             # Still partitioned away: cycles keep buffering in the
             # pending queue (the partition buffer) and the health plane
@@ -768,7 +774,7 @@ class ElasticFleet:
                 worker.pending.popleft()
                 continue
             try:
-                out = self._ingest(worker, cycle, sub, snapshot, deadline)
+                out = self._ingest(worker, cycle, sub, snapshot)
             except UnreachableShardError:
                 # The link is severed.  Leave the cycle (and everything
                 # behind it) buffered for replay after reconnection.
@@ -787,7 +793,7 @@ class ElasticFleet:
                 if worker.unreachable:
                     break
                 try:
-                    out = self._ingest(worker, cycle, sub, snapshot, deadline)
+                    out = self._ingest(worker, cycle, sub, snapshot)
                 except (UnreachableShardError, TransportTimeout):
                     self._mark_unreachable(worker)
                     break
@@ -806,7 +812,7 @@ class ElasticFleet:
                 if worker.unreachable:
                     break
                 try:
-                    out = self._ingest(worker, cycle, sub, snapshot, deadline)
+                    out = self._ingest(worker, cycle, sub, snapshot)
                 except (UnreachableShardError, TransportTimeout):
                     self._mark_unreachable(worker)
                     break

@@ -368,6 +368,30 @@ class TestMonitorElastic:
         )
         capsys.readouterr()
 
+    def test_quarantine_report_refused_on_a_fleet(self, tmp_path, capsys):
+        """The shards' quarantine stores are never merged, so a fleet
+        refuses the report instead of silently writing none."""
+        report = tmp_path / "q.json"
+        args = [
+            "monitor",
+            "--consumers",
+            "4",
+            "--weeks",
+            "10",
+            "--wal-dir",
+            str(tmp_path / "fw"),
+            "--quarantine-report",
+            str(report),
+            "--max-reading",
+            "0.5",
+        ]
+        for fleet in (["--shards", "2"], ["--elastic"]):
+            assert main(args + fleet) == 2
+            err = capsys.readouterr().err
+            assert "--quarantine-report needs the single-service" in err
+        assert not report.exists()
+        assert not (tmp_path / "fw").exists()
+
     def test_elastic_grow_matches_single_service_verdicts(
         self, tmp_path, capsys
     ):

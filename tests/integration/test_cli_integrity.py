@@ -177,6 +177,40 @@ class TestValidation:
         assert main(["monitor", "--integrity", "--model-rollback", "1"]) == 2
         assert "requires --resume or --recover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--shards", "2", "--model-rollback", "1"],
+            ["--eventtime", "--model-rollback", "7"],
+        ],
+        ids=["fleet", "eventtime"],
+    )
+    def test_model_rollback_needs_single_service(
+        self, mode, tmp_path, capsys
+    ):
+        """Neither the fleet nor the event-time path has a registry to
+        roll back, so the flag is refused rather than ignored."""
+        wal_dir = tmp_path / "wal"
+        args = [
+            "monitor",
+            "--consumers",
+            "4",
+            "--weeks",
+            "12",
+            "--integrity",
+            "--wal-dir",
+            str(wal_dir),
+            "--recover",
+        ]
+        assert main(args + mode) == 2
+        out, err = capsys.readouterr()
+        assert (
+            "--model-rollback needs the single-service monitor "
+            "(drop --eventtime/--elastic/--shards)" in err
+        )
+        assert out == ""
+        assert not wal_dir.exists()
+
     def test_training_window_floor(self, capsys):
         assert main(["monitor", "--training-window", "1"]) == 2
         assert "--training-window must be >= 2" in capsys.readouterr().err

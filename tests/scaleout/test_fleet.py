@@ -384,6 +384,49 @@ class TestDispatchAndWatermarks:
                 assert backlog <= 4  # tolerance + the cycle in flight
 
 
+class TestLoadControlledDispatch:
+    def test_ingest_payload_carries_no_deadline(self, tmp_path):
+        """The cycle budget stays coordinator-side: the sealed ingest
+        envelope holds only the readings, snapshot and cycle, so its
+        fingerprint never pickles the deadline's metrics or events."""
+        from repro.loadcontrol.config import LoadControlConfig, ShedPolicy
+        from repro.loadcontrol.deadline import Deadline
+        from repro.loadcontrol.queue import BufferedIngestor
+        from repro.transport import InProcTransport
+
+        sealed = []
+
+        class Recording(InProcTransport):
+            def call(self, envelope):
+                if envelope.kind == "ingest":
+                    sealed.append(envelope)
+                return super().call(envelope)
+
+        metrics = MetricsRegistry()
+        with _fleet(
+            tmp_path, transport=Recording(), metrics=metrics
+        ) as fleet:
+            ingestor = BufferedIngestor(
+                fleet.ingest_cycle,
+                config=LoadControlConfig(
+                    shed_policy=ShedPolicy.PRIORITY, cycle_deadline_s=1e-9
+                ),
+                metrics=metrics,
+            )
+            for t in range(SLOTS_PER_WEEK):
+                ingestor.submit(readings(t))
+                ingestor.drain()
+        assert len(sealed) == 2 * SLOTS_PER_WEEK
+        for envelope in sealed:
+            assert set(envelope.payload) == {"reported", "snapshot", "cycle"}
+            assert not any(
+                isinstance(value, Deadline)
+                for value in envelope.payload.values()
+            )
+        # The budget still reached every shard's ingest.
+        assert ingestor.deadlines_overrun == SLOTS_PER_WEEK
+
+
 class TestHealing:
     def test_killed_shard_restarts_with_epoch_bump(self, tmp_path):
         metrics = MetricsRegistry()
