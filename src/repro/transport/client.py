@@ -6,7 +6,8 @@ deterministic request id, send it through the transport, and on a
 retryable failure (:class:`~repro.errors.TransportTimeout`,
 :class:`~repro.errors.CorruptEnvelopeError`) retry under the shared
 :class:`~repro.resilience.retry.RetryPolicy` with exponential backoff
-and deterministic jitter.  Because every retry reuses the same request
+and deterministic jitter.  An exhausted budget always surfaces as
+:class:`~repro.errors.TransportTimeout`, whichever fault hit last.  Because every retry reuses the same request
 id, a retry whose first attempt actually executed is absorbed by the
 endpoint's reply cache — so the caller sees exactly-once *effects* over
 at-least-once *delivery*.
@@ -132,6 +133,14 @@ class ShardClient:
                 on_retry=on_retry,
                 sleep=self.sleep,
             )
+        except CorruptEnvelopeError as exc:
+            # Every attempt went unacknowledged, the last one NACKed as
+            # garbled: to the caller that is the same exhausted budget
+            # as a timeout, and the fleet buffers and replays on it.
+            raise TransportTimeout(
+                f"{rid!r}: no acknowledgement within "
+                f"{self.policy.max_attempts} attempt(s); last: {exc}"
+            ) from exc
         except Exception as exc:
             from repro.errors import UnreachableShardError
 

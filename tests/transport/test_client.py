@@ -135,6 +135,18 @@ class TestShardClient:
             client.call("ingest", "a", seq=0)
         assert calls == []
 
+    def test_garble_on_the_last_attempt_raises_timeout(self):
+        """A NACKed final attempt exhausts the budget like a timeout, so
+        callers that buffer on TransportTimeout (the fleet) see one type."""
+        client, calls = _fixture(
+            "s1:ingest@1=drop,s1:ingest@2=drop,s1:ingest@3=garble",
+            policy=RetryPolicy(max_attempts=3),
+        )
+        with pytest.raises(TransportTimeout, match="garbled|checksum"):
+            client.call("ingest", "a", seq=0)
+        assert calls == []
+        assert client.call("ingest", "a", seq=0).value == 1
+
     def test_unreachable_not_retried(self):
         metrics = MetricsRegistry()
         client, calls = _fixture("s1:*@1=partition", metrics=metrics)
